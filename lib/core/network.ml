@@ -10,6 +10,7 @@ module Tel = Iov_telemetry.Telemetry
 module Tracer = Iov_telemetry.Tracer
 module Ev = Iov_telemetry.Event
 module Metrics = Iov_telemetry.Metrics
+module Ins = Iov_telemetry.Instrument
 
 let src_log = Logs.Src.create "iov.network" ~doc:"iOverlay simulated runtime"
 
@@ -23,19 +24,11 @@ let default_pipeline_depth = 8
 (* Messages switched per engine activation before yielding. *)
 let engine_batch = 64
 
-(* Per-node telemetry handles, resolved once at node creation so the
-   hot path never looks anything up by name (the registry's
-   no-allocation rule). [None] when the network has no telemetry. *)
-type ntel = {
-  tl : Tel.t;
-  tr : Tracer.t;
-  c_enqueued : Metrics.counter;
-  c_switched : Metrics.counter;
-  c_sent : Metrics.counter;
-  c_delivered : Metrics.counter;
-  c_dropped : Metrics.counter;
-  c_shed : Metrics.counter; (* admission refusals (guard.shed_total) *)
-  c_link_failures : Metrics.counter;
+(* The simulator's own instruments, resolved once at node creation when
+   the network has telemetry (the registry's no-allocation rule) and
+   updated only while it traces. The engine counters live in the node's
+   [Instrument.t]. *)
+type nhist = {
   h_xmit_us : Metrics.histogram; (* transmit time of outgoing msgs, µs *)
   h_switch_bytes : Metrics.histogram; (* switched message sizes *)
   g_buffered : Metrics.gauge; (* receiver-buffer occupancy at last switch *)
@@ -100,7 +93,8 @@ and node = {
       (* overload-guard hook consulted before data enters the switch;
          [backlog] is the count of messages staged across this node's
          sender buffers and overflow queues *)
-  n_tel : ntel option;
+  n_ins : Ins.t; (* engine counters and event emission *)
+  n_hist : nhist option;
 }
 
 and t = {
@@ -204,96 +198,11 @@ let app_meter n app =
     Hashtbl.add n.app_meters app m;
     m
 
-(* ------------------------------------------------------------------ *)
-(* Telemetry                                                           *)
-
-(* All helpers cost one branch when the network has no telemetry and
-   two when it is attached but disabled; the enabled path performs only
-   integer mixing, mutable-cell bumps and ring-array stores — no
-   allocation, per the registry's hot-path rule. [tel_msg] takes the
-   already-resolved [tl] so the option match and enabled check run once
-   per event, not twice. *)
-
-let[@inline] tel_msg n tl kind ~peer (m : Msg.t) =
-  Tel.record tl.tl tl.tr
-    ~time:(Sim.now n.n_net.sim)
-    ~kind ~peer ~id:(Ev.id_of_msg m) ~app:m.Msg.app ~mseq:m.Msg.seq
-    ~size:(Msg.size m)
-
-let tel_enqueue n ~peer m =
-  match n.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Metrics.incr tl.c_enqueued;
-      tel_msg n tl Ev.Enqueue ~peer m
-    end
-
-let tel_drop n ~peer m =
-  match n.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Metrics.incr tl.c_dropped;
-      tel_msg n tl Ev.Drop ~peer m
-    end
-
-let tel_shed n ~peer m =
-  match n.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Metrics.incr tl.c_shed;
-      tel_msg n tl Ev.Shed ~peer m
-    end
-
-let tel_deliver n ~peer m =
-  match n.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Metrics.incr tl.c_delivered;
-      tel_msg n tl Ev.Deliver ~peer m
-    end
-
-(* transmission started on [l]: event on the sender, transmit-time
-   (reservation to arrival, µs) into the node and per-link histograms *)
-let tel_send l (m : Msg.t) ~now ~arrival =
-  let n = l.l_src in
-  match n.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Metrics.incr tl.c_sent;
-      let us = int_of_float ((arrival -. now) *. 1e6) in
-      Metrics.observe tl.h_xmit_us us;
-      (match l.l_hist with Some h -> Metrics.observe h us | None -> ());
-      tel_msg n tl Ev.Send ~peer:l.l_dst.n_id m
-    end
-
-let tel_switch n l m =
-  match n.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Metrics.incr tl.c_switched;
-      Metrics.observe tl.h_switch_bytes (Msg.size m);
-      Metrics.set tl.g_buffered (float_of_int (Cqueue.length l.recv_buf));
-      tel_msg n tl Ev.Switch ~peer:l.l_src.n_id m
-    end
-
-let tel_event n kind ~peer =
-  match n.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      (match kind with
-      | Ev.Link_failure -> Metrics.incr tl.c_link_failures
-      | _ -> ());
-      Tel.record tl.tl tl.tr
-        ~time:(Sim.now n.n_net.sim)
-        ~kind ~peer ~id:Ev.no_id ~app:0 ~mseq:0 ~size:0
-    end
+(* A message lost at [n]: into the node's loss totals, and a drop. *)
+let count_lost n ~peer m =
+  n.bytes_lost <- n.bytes_lost + Msg.size m;
+  n.msgs_lost <- n.msgs_lost + 1;
+  Ins.msg n.n_ins Ev.Drop ~peer m
 
 (* ------------------------------------------------------------------ *)
 (* Engine scheduling                                                   *)
@@ -344,10 +253,10 @@ and ensure_link src dst_id =
           weight = 1;
           wrr_left = 1;
           l_hist =
-            (match src.n_tel with
+            (match t.tele with
             | Some tl ->
               Some
-                (Metrics.histogram (Tel.metrics tl.tl)
+                (Metrics.histogram (Tel.metrics tl)
                    ~scope:(NI.to_string src.n_id)
                    ("link." ^ NI.to_string dst_id ^ ".xmit_us"))
             | None -> None);
@@ -427,7 +336,14 @@ and pump_link l =
               dst.total_rsrc
           in
           let arrival = finish +. l.l_latency in
-          tel_send l m ~now ~arrival;
+          Ins.msg src.n_ins Ev.Send ~peer:dst.n_id m;
+          (match src.n_hist with
+          | Some h when Ins.tracing src.n_ins ->
+            (* reservation to arrival, into the node and link histograms *)
+            let us = int_of_float ((arrival -. now) *. 1e6) in
+            Metrics.observe h.h_xmit_us us;
+            (match l.l_hist with Some lh -> Metrics.observe lh us | None -> ())
+          | Some _ | None -> ());
           ignore
             (Sim.schedule_at t.sim ~time:arrival (fun () -> deliver l m));
           on_send_space l
@@ -496,21 +412,21 @@ and admitted n m =
 
 and try_enqueue_data n m dst_id =
   if not (admitted n m) then begin
-    tel_shed n ~peer:dst_id m;
+    Ins.msg n.n_ins Ev.Shed ~peer:dst_id m;
     true
   end
   else
   match ensure_link n dst_id with
   | None ->
-    tel_drop n ~peer:dst_id m;
+    Ins.msg n.n_ins Ev.Drop ~peer:dst_id m;
     true
   | Some l ->
     if l.l_closed || l.draining then begin
-      tel_drop n ~peer:dst_id m;
+      Ins.msg n.n_ins Ev.Drop ~peer:dst_id m;
       true
     end
     else if Cqueue.push l.send_buf m then begin
-      tel_enqueue n ~peer:dst_id m;
+      Ins.msg n.n_ins Ev.Enqueue ~peer:dst_id m;
       pump_link l;
       true
     end
@@ -519,15 +435,15 @@ and try_enqueue_data n m dst_id =
 (* Algorithm-originated data send: never fails; excess beyond the
    sender buffer stages in the overflow queue. *)
 and send_data n m dst_id =
-  if not (admitted n m) then tel_shed n ~peer:dst_id m
+  if not (admitted n m) then Ins.msg n.n_ins Ev.Shed ~peer:dst_id m
   else
   match ensure_link n dst_id with
-  | None -> tel_drop n ~peer:dst_id m
+  | None -> Ins.msg n.n_ins Ev.Drop ~peer:dst_id m
   | Some l ->
-    if l.l_closed || l.draining then tel_drop n ~peer:dst_id m
+    if l.l_closed || l.draining then Ins.msg n.n_ins Ev.Drop ~peer:dst_id m
     else begin
       if not (Cqueue.push l.send_buf m) then Queue.push m l.overflow;
-      tel_enqueue n ~peer:dst_id m;
+      Ins.msg n.n_ins Ev.Enqueue ~peer:dst_id m;
       pump_link l
     end
 
@@ -538,11 +454,7 @@ and deliver l m =
   l.reserved_slots <- l.reserved_slots - 1;
   let t = l.l_src.n_net in
   let dst = l.l_dst in
-  let lose () =
-    dst.bytes_lost <- dst.bytes_lost + Msg.size m;
-    dst.msgs_lost <- dst.msgs_lost + 1;
-    tel_drop dst ~peer:l.l_src.n_id m
-  in
+  let lose () = count_lost dst ~peer:l.l_src.n_id m in
   if l.l_closed || dst.n_state <> `Alive then lose ()
   else if l.stalled then
     (* hung peer: bytes vanish without reaching the application *)
@@ -577,7 +489,7 @@ and deliver l m =
     let ok = Cqueue.push l.recv_buf m in
     assert ok;
     Meter.record l.meter ~now:(Sim.now t.sim) ~bytes:(Msg.size m);
-    tel_deliver dst ~peer:l.l_src.n_id m;
+    Ins.msg dst.n_ins Ev.Deliver ~peer:l.l_src.n_id m;
     schedule_engine dst
   end;
   (* the window slot is free either way *)
@@ -693,7 +605,7 @@ and engine_handle_link_failed n (m : Msg.t) =
   let direction =
     match Msg.params m with Some (1, _) -> `Out | _ -> `In
   in
-  tel_event n Ev.Link_failure ~peer;
+  Ins.event n.n_ins Ev.Link_failure ~peer;
   (match direction with
   | `Out -> (
     match NI.Tbl.find_opt n.out_links peer with
@@ -712,11 +624,7 @@ and close_out_link n l =
      queues must be drained into [n]'s loss counters here. Double
      counting is impossible — every caller reaches this through
      [out_links], and the removal below makes the call unique. *)
-  let count m =
-    n.bytes_lost <- n.bytes_lost + Msg.size m;
-    n.msgs_lost <- n.msgs_lost + 1;
-    tel_drop n ~peer:l.l_dst.n_id m
-  in
+  let count = count_lost n ~peer:l.l_dst.n_id in
   Cqueue.iter count l.send_buf;
   Queue.iter count l.overflow;
   Cqueue.clear l.send_buf;
@@ -742,11 +650,7 @@ and close_in_link n l =
   n.n_host.threads <- n.n_host.threads - 1;
   (* already-received messages in the buffer were consumed below the
      socket; they are dropped with the link, counted as lost *)
-  let count m =
-    n.bytes_lost <- n.bytes_lost + Msg.size m;
-    n.msgs_lost <- n.msgs_lost + 1;
-    tel_drop n ~peer:l.l_src.n_id m
-  in
+  let count = count_lost n ~peer:l.l_src.n_id in
   Cqueue.iter count l.recv_buf;
   Cqueue.clear l.recv_buf;
   (match l.pending_fanout with
@@ -797,7 +701,12 @@ and switch_one n l =
   match Cqueue.pop l.recv_buf with
   | None -> ()
   | Some m ->
-    tel_switch n l m;
+    Ins.msg n.n_ins Ev.Switch ~peer:l.l_src.n_id m;
+    (match n.n_hist with
+    | Some h when Ins.tracing n.n_ins ->
+      Metrics.observe h.h_switch_bytes (Msg.size m);
+      Metrics.set h.g_buffered (float_of_int (Cqueue.length l.recv_buf))
+    | Some _ | None -> ());
     (* receive window opened *)
     pump_link l;
     (if Mt.is_data m.Msg.mtype then
@@ -898,12 +807,9 @@ and make_status_of_node n =
         bytes_lost = n.bytes_lost;
         messages_lost = n.msgs_lost;
         metrics =
-          (match n.n_tel with
-          | Some tl when Tel.enabled tl.tl ->
-            Some
-              (Metrics.to_blob
-                 ~scope:(NI.to_string n.n_id)
-                 (Tel.metrics tl.tl))
+          (match t.tele with
+          | Some tl when Tel.enabled tl ->
+            Some (Metrics.to_blob ~scope:(NI.to_string n.n_id) (Tel.metrics tl))
           | Some _ | None -> None);
       }
   end
@@ -962,16 +868,11 @@ and terminate_node n =
     | None -> ());
     n.tick_handle <- None;
     Log.info (fun m -> m "node %a terminated" NI.pp n.n_id);
-    tel_event n Ev.Teardown ~peer:Tracer.nil_peer;
-    let count peer m =
-      n.bytes_lost <- n.bytes_lost + Msg.size m;
-      n.msgs_lost <- n.msgs_lost + 1;
-      tel_drop n ~peer m
-    in
+    Ins.event n.n_ins Ev.Teardown ~peer:Tracer.nil_peer;
     (* my own buffers are lost *)
     NI.Tbl.iter
       (fun peer l ->
-        let count = count peer in
+        let count = count_lost n ~peer in
         Cqueue.iter count l.recv_buf;
         Cqueue.clear l.recv_buf;
         (match l.pending_fanout with Some (m, _) -> count m | None -> ());
@@ -980,7 +881,7 @@ and terminate_node n =
       n.in_links;
     NI.Tbl.iter
       (fun peer l ->
-        let count = count peer in
+        let count = count_lost n ~peer in
         Cqueue.iter count l.send_buf;
         Queue.iter count l.overflow;
         Cqueue.clear l.send_buf;
@@ -988,14 +889,9 @@ and terminate_node n =
         l.l_closed <- true)
       n.out_links;
     Queue.clear n.control_q;
-    (* release this node's threads *)
-    let my_threads =
-      1 + NI.Tbl.length n.in_links + NI.Tbl.length n.out_links
-    in
-    (* in/out link threads live partly on peer hosts: the receiver
-       thread of an in-link is ours, the sender thread is the peer's.
-       Each link contributed exactly one thread to this host. *)
-    ignore my_threads;
+    (* release this node's threads: the engine thread plus one per link
+       (an in-link's receiver thread is ours, its sender thread the
+       peer's; an out-link's sender thread is ours) *)
     n.n_host.threads <-
       n.n_host.threads - 1 - NI.Tbl.length n.in_links
       - NI.Tbl.length n.out_links;
@@ -1115,16 +1011,16 @@ let make_ctx n : Algorithm.ctx =
 
 let add_node t ?host ?(bw = Bwspec.unconstrained) ?buffer_capacity ?observer
     ?(seeds = []) ~id:n_id algo =
-  let revived =
+  let previous =
     match NI.Tbl.find_opt t.nodes_tbl n_id with
     | Some old when old.n_state = `Terminated ->
       (* churn respawn: the dead incarnation is replaced by a fresh
          engine under the same id — peers treat it as a new node *)
       NI.Tbl.remove t.nodes_tbl n_id;
-      true
+      Some old
     | Some _ ->
       invalid_arg ("Network.add_node: duplicate id " ^ NI.to_string n_id)
-    | None -> false
+    | None -> None
   in
   if NI.Tbl.mem t.endpoints n_id then
     invalid_arg ("Network.add_node: id is an endpoint " ^ NI.to_string n_id);
@@ -1134,6 +1030,27 @@ let add_node t ?host ?(bw = Bwspec.unconstrained) ?buffer_capacity ?observer
   in
   if bufcap <= 0 then invalid_arg "Network.add_node: buffer_capacity";
   let mk r = Rsrc.create ~rate:r in
+  (* a respawned id keeps counting where its predecessor stopped *)
+  let n_ins, n_hist =
+    match previous with
+    | Some old -> (old.n_ins, old.n_hist)
+    | None ->
+      (* histograms first: registration order is snapshot order *)
+      let hist =
+        Option.map
+          (fun tl ->
+            let m = Tel.metrics tl and scope = NI.to_string n_id in
+            let g_buffered = Metrics.gauge m ~scope "recv_buffered" in
+            let h_switch_bytes = Metrics.histogram m ~scope "switch_bytes" in
+            { h_xmit_us = Metrics.histogram m ~scope "xmit_us"; h_switch_bytes;
+              g_buffered })
+          t.tele
+      in
+      ( Ins.create ?telemetry:t.tele ~runtime:Ins.Sim
+          ~clock:(fun () -> Sim.now t.sim)
+          n_id,
+        hist )
+  in
   let n =
     {
       n_id;
@@ -1160,27 +1077,8 @@ let add_node t ?host ?(bw = Bwspec.unconstrained) ?buffer_capacity ?observer
       n_observer = observer;
       tick_handle = None;
       n_admission = None;
-      n_tel =
-        (match t.tele with
-        | None -> None
-        | Some tl ->
-          let m = Tel.metrics tl in
-          let scope = NI.to_string n_id in
-          Some
-            {
-              tl;
-              tr = Tel.tracer tl n_id;
-              c_enqueued = Metrics.counter m ~scope "enqueued";
-              c_switched = Metrics.counter m ~scope "switched";
-              c_sent = Metrics.counter m ~scope "sent";
-              c_delivered = Metrics.counter m ~scope "delivered";
-              c_dropped = Metrics.counter m ~scope "dropped";
-              c_shed = Metrics.counter m ~scope "guard.shed_total";
-              c_link_failures = Metrics.counter m ~scope "link_failures";
-              h_xmit_us = Metrics.histogram m ~scope "xmit_us";
-              h_switch_bytes = Metrics.histogram m ~scope "switch_bytes";
-              g_buffered = Metrics.gauge m ~scope "recv_buffered";
-            });
+      n_ins;
+      n_hist;
     }
   in
   n.n_ctx <- Some (make_ctx n);
@@ -1190,7 +1088,7 @@ let add_node t ?host ?(bw = Bwspec.unconstrained) ?buffer_capacity ?observer
     (fun s -> if not (NI.equal s n_id) then n.kh <- NI.Set.add s n.kh)
     seeds;
   NI.Tbl.add t.nodes_tbl n_id n;
-  if revived then tel_event n Ev.Respawn ~peer:Tracer.nil_peer;
+  if Option.is_some previous then Ins.event n_ins Ev.Respawn ~peer:Tracer.nil_peer;
   h.threads <- h.threads + 1 (* the engine thread *);
   (* periodic engine work; nodes tick out of phase to avoid lockstep *)
   let phase =
@@ -1373,9 +1271,7 @@ let set_admission t ni hook =
   | None -> invalid_arg "Network.set_admission: no such node"
 
 let node_switched t ni =
-  match find_node t ni with
-  | Some { n_tel = Some tl; _ } -> Metrics.value tl.c_switched
-  | Some _ | None -> 0
+  match find_node t ni with Some n -> Ins.switched n.n_ins | None -> 0
 
 let node_backlog t ni =
   match find_node t ni with Some n -> out_backlog n | None -> 0

@@ -38,13 +38,13 @@ val create :
     [detect_delay] (default 0.05) is the socket-level failure-detection
     latency; [pipeline_depth] (default 8) bounds the transmissions a
     link may reserve ahead — the TCP-window-style pipelining that keeps
-    throughput up across wide-area latency. [telemetry] attaches a
-    telemetry deployment: every engine then records the structured
-    event vocabulary ({!Iov_telemetry.Event.kind}) into its per-node
-    flight recorder and keeps per-node counters/histograms in the
-    shared registry, scoped by the node's [ip:port]. Without it (or
-    with it disabled) the instrumentation costs one or two branches per
-    event site. *)
+    throughput up across wide-area latency. Every node keeps the
+    engine counters of {!Iov_telemetry.Instrument} whether or not
+    [telemetry] is given. [telemetry] attaches a deployment: the
+    counters are then registered in its registry, scoped by the node's
+    [ip:port], and while it is enabled every engine also records the
+    structured event vocabulary ({!Iov_telemetry.Event.kind}) into its
+    per-node flight recorder and fills the simulator's histograms. *)
 
 val telemetry : t -> Iov_telemetry.Telemetry.t option
 
@@ -225,8 +225,9 @@ val set_admission :
     never retried. @raise Invalid_argument for unknown nodes. *)
 
 val node_switched : t -> Iov_msg.Node_id.t -> int
-(** The node's [switched] telemetry counter (0 without telemetry) —
-    the progress signal {!Iov_guard.Watchdog} supervises. *)
+(** Messages the node has switched, counted with or without telemetry
+    (and across respawns of the id); 0 for unknown nodes. The progress
+    signal {!Iov_guard.Watchdog} supervises. *)
 
 val node_backlog : t -> Iov_msg.Node_id.t -> int
 (** Messages currently staged across the node's sender buffers and

@@ -7,6 +7,7 @@ module Tel = Iov_telemetry.Telemetry
 module Tracer = Iov_telemetry.Tracer
 module Ev = Iov_telemetry.Event
 module Metrics = Iov_telemetry.Metrics
+module Ins = Iov_telemetry.Instrument
 module Backoff = Iov_guard.Backoff
 
 let src_log = Logs.Src.create "iov.onet" ~doc:"iOverlay real-sockets runtime"
@@ -48,30 +49,6 @@ type rstate = { rc_bo : Backoff.t; mutable rc_due : float }
 let reconnect_base = 0.05
 let reconnect_cap = 2.0
 
-(* Telemetry handles, resolved once at start. Unlike the simulator's
-   single-threaded engine, events here originate on receiver, sender
-   and engine threads alike, so the recorder is guarded by its own
-   mutex (never held together with the node lock). *)
-type ntel = {
-  tl : Tel.t;
-  tr : Tracer.t;
-  tel_lock : Mutex.t;
-  c_enqueued : Metrics.counter;
-  c_switched : Metrics.counter;
-  c_sent : Metrics.counter;
-  c_delivered : Metrics.counter;
-  c_dropped : Metrics.counter;
-  c_shed : Metrics.counter;
-  c_link_failures : Metrics.counter;
-  (* batched-I/O observability: write syscalls issued by sender
-     threads, messages that rode a coalesced flush, and the size
-     distribution of those flushes — batch efficiency is
-     syscalls_total / batched_msgs *)
-  c_syscalls : Metrics.counter;
-  c_batched : Metrics.counter;
-  h_batch : Metrics.histogram;
-}
-
 type t = {
   nid : NI.t;
   listen_fd : Unix.file_descr;
@@ -86,12 +63,14 @@ type t = {
   mutable timers : timer list;
   mutable known : NI.Set.t;
   mutable stopping : bool;
-  mutable processed : int;
   app_bytes_tbl : (int, int) Hashtbl.t; (* engine thread only *)
   mutable engine_thread : Thread.t option;
   mutable accept_threads : Thread.t list;
   rng : Random.State.t;
-  n_tel : ntel option;
+  n_ins : Ins.t; (* engine counters and event emission *)
+  h_batch : Metrics.histogram option;
+      (* wire bytes per coalesced flush (onet.batch_bytes), with
+         telemetry; batch efficiency is syscalls_total / batched_msgs *)
   batching : bool;
   pool : Batcher.pool; (* sender staging buffers, shared per node *)
   (* wire bytes accepted into the send pipeline (sender queues plus
@@ -102,77 +81,8 @@ type t = {
     (now:float -> app:int -> size:int -> backlog:int -> bool) option;
 }
 
-(* ------------------------------------------------------------------ *)
-(* Telemetry                                                           *)
-
-let tel_counter tl = function
-  | Ev.Enqueue -> Metrics.incr tl.c_enqueued
-  | Ev.Switch -> Metrics.incr tl.c_switched
-  | Ev.Send -> Metrics.incr tl.c_sent
-  | Ev.Deliver -> Metrics.incr tl.c_delivered
-  | Ev.Drop -> Metrics.incr tl.c_dropped
-  | Ev.Shed -> Metrics.incr tl.c_shed
-  | Ev.Link_failure -> Metrics.incr tl.c_link_failures
-  | Ev.Teardown | Ev.Respawn | Ev.Route_change | Ev.Path_switch
-  | Ev.Dup_suppressed | Ev.Suspect | Ev.Confirm | Ev.View_exchange
-  | Ev.Breaker_open | Ev.Breaker_close | Ev.Wedge | Ev.Retransmit ->
-    ()
-
-let tel_msg t kind ~peer (m : Msg.t) =
-  match t.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Mutex.lock tl.tel_lock;
-      tel_counter tl kind;
-      Tel.record tl.tl tl.tr
-        ~time:(Unix.gettimeofday ())
-        ~kind ~peer ~id:(Ev.id_of_msg m) ~app:m.Msg.app ~mseq:m.Msg.seq
-        ~size:(Msg.size m);
-      Mutex.unlock tl.tel_lock
-    end
-
-let tel_event t kind ~peer =
-  match t.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Mutex.lock tl.tel_lock;
-      tel_counter tl kind;
-      Tel.record tl.tl tl.tr
-        ~time:(Unix.gettimeofday ())
-        ~kind ~peer ~id:Ev.no_id ~app:0 ~mseq:0 ~size:0;
-      Mutex.unlock tl.tel_lock
-    end
-
-(* Per-flush accounting for the batched sender path. *)
-let tel_flush t ~bytes ~msgs ~syscalls =
-  match t.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Mutex.lock tl.tel_lock;
-      Metrics.add tl.c_syscalls syscalls;
-      Metrics.add tl.c_batched msgs;
-      Metrics.observe tl.h_batch bytes;
-      Mutex.unlock tl.tel_lock
-    end
-
-(* Syscall accounting for unbatched writes (per-message mode, oversized
-   messages): counted against the same onet.syscalls_total key so the
-   two paths are directly comparable. *)
-let tel_syscalls t n =
-  match t.n_tel with
-  | None -> ()
-  | Some tl ->
-    if Tel.enabled tl.tl then begin
-      Mutex.lock tl.tel_lock;
-      Metrics.add tl.c_syscalls n;
-      Mutex.unlock tl.tel_lock
-    end
-
 let id t = t.nid
-let messages_processed t = t.processed
+let messages_processed t = Ins.switched t.n_ins
 let staged_bytes t = Atomic.get t.staged_bytes
 let set_admission t hook = t.admission <- hook
 
@@ -185,15 +95,23 @@ let with_lock t f =
 
 let peers t = with_lock t (fun () -> List.map (fun o -> o.oc_peer) t.outs)
 
+let find_in t peer =
+  with_lock t (fun () -> List.find_opt (fun i -> NI.equal i.ic_peer peer) t.ins)
+
+(* the peer's live outgoing connection; a dead one awaits the reaper *)
+let live_out t peer =
+  with_lock t (fun () ->
+      List.find_opt (fun o -> NI.equal o.oc_peer peer && not o.oc_dead) t.outs)
+
+(* bytes per second carried since the connection opened *)
+let rate bytes since =
+  let dt = Unix.gettimeofday () -. since in
+  if dt <= 0. then 0. else float_of_int (Atomic.get bytes) /. dt
+
 let link_bytes t dir peer =
   match dir with
   | `In -> (
-    match
-      with_lock t (fun () ->
-          List.find_opt (fun i -> NI.equal i.ic_peer peer) t.ins)
-    with
-    | Some ic -> Atomic.get ic.ic_bytes
-    | None -> 0)
+    match find_in t peer with Some ic -> Atomic.get ic.ic_bytes | None -> 0)
   | `Out -> (
     match
       with_lock t (fun () ->
@@ -244,12 +162,12 @@ let receiver_loop t ?bytes ?stream peer fd buf =
       let accepted = Squeue.push_list buf ms in
       List.iteri
         (fun i m ->
-          if i < accepted then tel_msg t Ev.Deliver ~peer m
+          if i < accepted then Ins.msg t.n_ins Ev.Deliver ~peer m
           else
             (* the buffer was closed under us (teardown): the message
                is lost — account for it rather than discarding
                silently *)
-            tel_msg t Ev.Drop ~peer m)
+            Ins.msg t.n_ins Ev.Drop ~peer m)
         ms;
       if accepted < List.length ms then running := false
   in
@@ -285,6 +203,18 @@ let receiver_loop t ?bytes ?stream peer fd buf =
 
 let unstage t n = ignore (Atomic.fetch_and_add t.staged_bytes (-n))
 
+(* Writes one message on its own — its memoized encoding, so a message
+   fanned out to n peers is encoded once — and accounts for it. The
+   syscalls count against the same onet.syscalls_total key as batched
+   flushes, so the two paths compare directly. *)
+let write_direct t oc m =
+  let wire = Codec.wire m in
+  let calls = write_all oc.oc_fd wire in
+  Ins.io t.n_ins ~syscalls:calls ~batched:0;
+  unstage t (Bytes.length wire);
+  Atomic.set oc.oc_bytes (Atomic.get oc.oc_bytes + Bytes.length wire);
+  Ins.msg t.n_ins Ev.Send ~peer:oc.oc_peer m
+
 (* The per-message sender: one write syscall per message (the
    pre-batching behaviour, kept for the [~batching:false] baseline the
    netlab experiment measures against). *)
@@ -294,19 +224,11 @@ let sender_loop_permsg t oc =
     match Squeue.pop oc.oc_buf with
     | None -> running := false
     | Some m -> (
-      try
-        (* memoized: a message fanned out to n peers is encoded once
-           and the same buffer is written on every link *)
-        let wire = Codec.wire m in
-        let calls = write_all oc.oc_fd wire in
-        tel_syscalls t calls;
-        unstage t (Bytes.length wire);
-        Atomic.set oc.oc_bytes (Atomic.get oc.oc_bytes + Bytes.length wire);
-        tel_msg t Ev.Send ~peer:oc.oc_peer m
+      try write_direct t oc m
       with Unix.Unix_error _ ->
         oc.oc_dead <- true;
         unstage t (Msg.size m);
-        tel_msg t Ev.Drop ~peer:oc.oc_peer m;
+        Ins.msg t.n_ins Ev.Drop ~peer:oc.oc_peer m;
         running := false)
   done;
   (try Unix.close oc.oc_fd with Unix.Unix_error _ -> ())
@@ -331,8 +253,9 @@ let sender_loop_batched t oc =
       let syscalls = Batcher.flush batch ~write in
       unstage t bytes;
       Atomic.set oc.oc_bytes (Atomic.get oc.oc_bytes + bytes);
-      tel_flush t ~bytes ~msgs ~syscalls;
-      List.iter (fun m -> tel_msg t Ev.Send ~peer:oc.oc_peer m)
+      Ins.io t.n_ins ~syscalls ~batched:msgs;
+      (match t.h_batch with Some h -> Ins.observe t.n_ins h bytes | None -> ());
+      List.iter (fun m -> Ins.msg t.n_ins Ev.Send ~peer:oc.oc_peer m)
         (List.rev !staged);
       staged := []
     end
@@ -350,16 +273,9 @@ let sender_loop_batched t oc =
             flush ();
             if Batcher.add batch m then staged := m :: !staged
             else begin
-              (* larger than the whole staging buffer: its own
-                 (memoized) encoding goes out directly, order
-                 preserved by the flush above *)
-              let wire = Codec.wire m in
-              let calls = write_all oc.oc_fd wire in
-              tel_syscalls t calls;
-              unstage t (Bytes.length wire);
-              Atomic.set oc.oc_bytes
-                (Atomic.get oc.oc_bytes + Bytes.length wire);
-              tel_msg t Ev.Send ~peer:oc.oc_peer m
+              (* larger than the whole staging buffer: it goes out
+                 directly, order preserved by the flush above *)
+              write_direct t oc m
             end
           end;
           rest := List.tl !rest
@@ -372,7 +288,7 @@ let sender_loop_batched t oc =
         List.iter
           (fun m ->
             unstage t (Msg.size m);
-            tel_msg t Ev.Drop ~peer:oc.oc_peer m)
+            Ins.msg t.n_ins Ev.Drop ~peer:oc.oc_peer m)
           (List.rev_append !staged !rest);
         staged := [];
         running := false)
@@ -410,11 +326,7 @@ let reconnect_later t peer =
 (* Engine-side or driver-side: ensure a persistent outgoing
    connection. Must be called with care — creation takes the lock. *)
 let ensure_out t peer =
-  let existing =
-    with_lock t (fun () ->
-        List.find_opt (fun o -> NI.equal o.oc_peer peer && not o.oc_dead) t.outs)
-  in
-  match existing with
+  match live_out t peer with
   | Some o -> o
   | None ->
     (* inside a backoff window from earlier failed attempts: refuse
@@ -471,14 +383,14 @@ let send t m peer =
         ~backlog:(Atomic.get t.staged_bytes)
     | _ -> true
   in
-  if not admitted then tel_msg t Ev.Shed ~peer m
+  if not admitted then Ins.msg t.n_ins Ev.Shed ~peer m
   else begin
     let oc = ensure_out t peer in
     ignore (Atomic.fetch_and_add t.staged_bytes size);
-    if Squeue.push oc.oc_buf m then tel_msg t Ev.Enqueue ~peer m
+    if Squeue.push oc.oc_buf m then Ins.msg t.n_ins Ev.Enqueue ~peer m
     else begin
       unstage t size;
-      tel_msg t Ev.Drop ~peer m
+      Ins.msg t.n_ins Ev.Drop ~peer m
     end
   end
 
@@ -492,15 +404,10 @@ let make_ctx t : Alg.ctx =
     send =
       (fun m dst ->
         try send t m dst
-        with Unix.Unix_error _ -> tel_msg t Ev.Drop ~peer:dst m);
+        with Unix.Unix_error _ -> Ins.msg t.n_ins Ev.Drop ~peer:dst m);
     can_send =
       (fun dst ->
-        match
-          with_lock t (fun () ->
-              List.find_opt
-                (fun o -> NI.equal o.oc_peer dst && not o.oc_dead)
-                t.outs)
-        with
+        match live_out t dst with
         | Some o -> not (Squeue.is_full o.oc_buf)
         | None -> true);
     known_hosts = (fun () -> NI.Set.elements t.known);
@@ -513,25 +420,13 @@ let make_ctx t : Alg.ctx =
     downstreams = (fun () -> peers t);
     up_throughput =
       (fun peer ->
-        match
-          with_lock t (fun () ->
-              List.find_opt (fun i -> NI.equal i.ic_peer peer) t.ins)
-        with
-        | Some ic ->
-          let dt = Unix.gettimeofday () -. ic.ic_since in
-          if dt <= 0. then 0. else float_of_int (Atomic.get ic.ic_bytes) /. dt
+        match find_in t peer with
+        | Some ic -> rate ic.ic_bytes ic.ic_since
         | None -> 0.);
     down_throughput =
       (fun peer ->
-        match
-          with_lock t (fun () ->
-              List.find_opt
-                (fun o -> NI.equal o.oc_peer peer && not o.oc_dead)
-                t.outs)
-        with
-        | Some oc ->
-          let dt = Unix.gettimeofday () -. oc.oc_since in
-          if dt <= 0. then 0. else float_of_int (Atomic.get oc.oc_bytes) /. dt
+        match live_out t peer with
+        | Some oc -> rate oc.oc_bytes oc.oc_since
         | None -> 0.);
     measure =
       (fun peer cb ->
@@ -564,8 +459,7 @@ let make_ctx t : Alg.ctx =
 (* The engine thread                                                   *)
 
 let dispatch t ctx (m : Msg.t) =
-  t.processed <- t.processed + 1;
-  tel_msg t Ev.Switch ~peer:m.Msg.origin m;
+  Ins.msg t.n_ins Ev.Switch ~peer:m.Msg.origin m;
   if Mt.is_data m.Msg.mtype then begin
     let prev =
       match Hashtbl.find_opt t.app_bytes_tbl m.app with Some b -> b | None -> 0
@@ -577,26 +471,24 @@ let dispatch t ctx (m : Msg.t) =
       List.iter
         (fun d ->
           try send t m d
-          with Unix.Unix_error _ -> tel_msg t Ev.Drop ~peer:d m)
+          with Unix.Unix_error _ -> Ins.msg t.n_ins Ev.Drop ~peer:d m)
         dests
   end
   else begin
     if m.Msg.mtype = Mt.Link_failed then
       (* the same event the simulator's engine emits on link failure *)
-      tel_event t Ev.Link_failure ~peer:m.Msg.origin;
+      Ins.event t.n_ins Ev.Link_failure ~peer:m.Msg.origin;
     ignore (t.algo.Alg.process ctx m)
   end
 
-let run_timers t ctx =
-  ignore ctx;
+let run_timers t =
   let now = Unix.gettimeofday () in
-  let due, later =
+  let due =
     with_lock t (fun () ->
         let due, later = List.partition (fun tm -> tm.due <= now) t.timers in
         t.timers <- later;
-        (due, later))
+        due)
   in
-  ignore later;
   List.iter (fun tm -> tm.fn ()) due
 
 let engine_loop t =
@@ -731,7 +623,7 @@ let engine_loop t =
       (fun p -> try connect t p with Unix.Unix_error _ -> ())
       due;
     (* 5. timers *)
-    run_timers t ctx;
+    run_timers t;
     if !worked then wait := 0.
     else begin
       wait := 0.01;
@@ -758,6 +650,17 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(buffer_capacity = 16)
     | Unix.ADDR_UNIX _ -> assert false
   in
   let nid = NI.of_string (Printf.sprintf "%s:%d" host actual_port) in
+  (* the histogram first: registration order is snapshot order *)
+  let h_batch =
+    Option.map
+      (fun tl ->
+        Metrics.histogram (Tel.metrics tl) ~scope:(NI.to_string nid)
+          "onet.batch_bytes")
+      telemetry
+  in
+  let ins =
+    Ins.create ?telemetry ~runtime:Ins.Sockets ~clock:Unix.gettimeofday nid
+  in
   let t =
     {
       nid;
@@ -773,33 +676,12 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(buffer_capacity = 16)
       timers = [];
       known = NI.Set.empty;
       stopping = false;
-      processed = 0;
       app_bytes_tbl = Hashtbl.create 4;
       engine_thread = None;
       accept_threads = [];
       rng = Random.State.make [| actual_port |];
-      n_tel =
-        (match telemetry with
-        | None -> None
-        | Some tl ->
-          let m = Tel.metrics tl in
-          let scope = NI.to_string nid in
-          Some
-            {
-              tl;
-              tr = Tel.tracer tl nid;
-              tel_lock = Mutex.create ();
-              c_enqueued = Metrics.counter m ~scope "enqueued";
-              c_switched = Metrics.counter m ~scope "switched";
-              c_sent = Metrics.counter m ~scope "sent";
-              c_delivered = Metrics.counter m ~scope "delivered";
-              c_dropped = Metrics.counter m ~scope "dropped";
-              c_shed = Metrics.counter m ~scope "guard.shed_total";
-              c_link_failures = Metrics.counter m ~scope "link_failures";
-              c_syscalls = Metrics.counter m ~scope "onet.syscalls_total";
-              c_batched = Metrics.counter m ~scope "onet.batched_msgs";
-              h_batch = Metrics.histogram m ~scope "onet.batch_bytes";
-            });
+      n_ins = ins;
+      h_batch;
       batching;
       pool = Batcher.pool ();
       staged_bytes = Atomic.make 0;
@@ -812,7 +694,7 @@ let start ?(host = "127.0.0.1") ?(port = 0) ?(buffer_capacity = 16)
 let shutdown t =
   if not t.stopping then begin
     t.stopping <- true;
-    tel_event t Ev.Teardown ~peer:Tracer.nil_peer;
+    Ins.event t.n_ins Ev.Teardown ~peer:Tracer.nil_peer;
     (match t.engine_thread with Some th -> Thread.join th | None -> ());
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     let outs = with_lock t (fun () -> t.outs) in

@@ -38,14 +38,15 @@ val start :
     per lock acquisition and ships it with (ideally) one [write];
     [~batching:false] restores one write syscall per message — the
     baseline the netlab experiment measures against. The byte stream on
-    the wire is identical either way. [telemetry] attaches a telemetry
-    deployment sharing the simulator's event vocabulary: the node
+    the wire is identical either way. The node keeps the engine
+    counters of {!Iov_telemetry.Instrument}, plus [onet.syscalls_total]
+    and [onet.batched_msgs], with or without telemetry. [telemetry]
+    attaches a deployment sharing the simulator's event vocabulary: the
+    counters are registered scoped by the node's [ip:port] next to the
+    [onet.batch_bytes] histogram, and while it is enabled the node
     records enqueue/switch/send/deliver/drop/shed/link-failure/teardown
-    events into its flight recorder (guarded by a dedicated mutex — the
-    runtime is multi-threaded, unlike the simulator) and keeps counters
-    scoped by its [ip:port], including the batched-I/O triple
-    [onet.syscalls_total], [onet.batched_msgs] and the
-    [onet.batch_bytes] histogram.
+    events into its flight recorder (guarded by a mutex — the runtime is
+    multi-threaded, unlike the simulator).
     @raise Unix.Unix_error on bind failure. *)
 
 val id : t -> Iov_msg.Node_id.t
@@ -85,7 +86,8 @@ val app_bytes : t -> app:int -> int
 (** Data payload bytes delivered to this node's algorithm for [app]. *)
 
 val messages_processed : t -> int
-(** Messages the engine thread has dispatched to the algorithm. *)
+(** Messages the engine thread has dispatched to the algorithm: the
+    node's [switched] counter, kept with or without telemetry. *)
 
 val peers : t -> Iov_msg.Node_id.t list
 (** Current outgoing connections. *)

@@ -58,6 +58,8 @@ let histogram t ?scope name =
   | H h -> h
   | C _ | G _ -> kind_error (full_name ?scope name) "histogram"
 
+let detached_counter () = { c = 0 }
+
 (* hot path: mutable-cell writes only *)
 let incr c = c.c <- c.c + 1
 let add c n = c.c <- c.c + n

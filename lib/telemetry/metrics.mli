@@ -34,6 +34,10 @@ val histogram : t -> ?scope:string -> string -> histogram
     All three raise [Invalid_argument] if the full name is already
     registered with a different metric kind. *)
 
+val detached_counter : unit -> counter
+(** A counter in no registry: it counts and reads like any other but
+    has no name and appears in no snapshot. *)
+
 (** {1 Updates (hot path — allocation free)} *)
 
 val incr : counter -> unit

@@ -303,6 +303,10 @@ let test_checker_flags_dead_chain () =
 (* ------------------------------------------------------------------ *)
 (* The chaos lab: bundled scenarios and the determinism oracle *)
 
+(* The "smoke" builtin's trace digest, pinned so that a change to the
+   engines' event stream cannot pass by changing both runs alike. *)
+let golden_smoke_digest = "85b0d74e4795770e87e16c4974f1d0be"
+
 let test_builtin_digest_oracle () =
   (* the acceptance criterion: the same scenario against the same seeded
      workload yields a byte-identical telemetry trace *)
@@ -314,6 +318,7 @@ let test_builtin_digest_oracle () =
   let d1 = digest_of () in
   let d2 = digest_of () in
   Alcotest.(check string) "byte-identical traces" d1 d2;
+  Alcotest.(check string) "pinned digest" golden_smoke_digest d1;
   (* and the seed matters where the workload has randomness *)
   match Chaoslab.run_builtin ~quiet:true ~seed:5 "churn-session" with
   | Some o ->

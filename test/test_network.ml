@@ -898,6 +898,68 @@ let fuzz_test =
           QCheck.Gen.(list_size (int_range 1 15) fuzz_op_gen))
        fuzz_prop)
 
+(* ------------------------------------------------------------------ *)
+(* Always-on engine counters *)
+
+(* The switch counter is the watchdog's progress signal, so it must
+   count whether or not a telemetry deployment traces. Sources 1 and 4
+   feed sinks 2 and 3; at 2 s the link 4 -> 3 hangs, freezing 3's
+   counter while 2's keeps moving. The watchdog must see that 3 had
+   worked before it froze, and respawn it. *)
+let watchdog_sees_progress ?telemetry () =
+  let net = Network.create ?telemetry () in
+  let _ = source_node net 1 ~dests:[ 2 ] in
+  let _ = source_node net 4 ~dests:[ 3 ] in
+  let _ = flood_node net 2 ~ups:[ 1 ] ~downs:[] in
+  let _ = flood_node net 3 ~ups:[ 4 ] ~downs:[] in
+  let dog =
+    Iov_guard.Watchdog.create ~wedge_after:1.0
+      ~rng:(Random.State.make [| 13 |])
+      ~now:0. ()
+  in
+  let respawned = ref [] in
+  List.iter
+    (fun i ->
+      Iov_guard.Watchdog.watch dog ~id:(string_of_int i)
+        ~progress:(fun () -> Network.node_switched net (id i))
+        ~respawn:(fun () -> respawned := i :: !respawned))
+    [ 2; 3 ];
+  let t = ref 0.25 in
+  while !t <= 5.0 do
+    Network.run net ~until:!t;
+    if !t = 2.0 then begin
+      Alcotest.(check bool) "sink 2 switched" true
+        (Network.node_switched net (id 2) > 0);
+      Alcotest.(check bool) "sink 3 switched" true
+        (Network.node_switched net (id 3) > 0);
+      Network.stall_link net ~src:(id 4) ~dst:(id 3) true
+    end;
+    ignore (Iov_guard.Watchdog.scan dog ~now:!t);
+    t := !t +. 0.25
+  done;
+  Alcotest.(check (list int)) "the frozen sink, and only it, respawned" [ 3 ]
+    (List.sort_uniq compare !respawned);
+  net
+
+let test_switched_counts_untraced () = ignore (watchdog_sees_progress ())
+
+(* attached but disabled: no events, yet the counter counts and is the
+   one registered under the node's [switched] key *)
+let test_switched_counts_disabled () =
+  let tel = Iov_telemetry.Telemetry.create ~enabled:false () in
+  let net = watchdog_sees_progress ~telemetry:tel () in
+  Alcotest.(check int) "no events recorded" 0
+    (Iov_telemetry.Telemetry.total_events tel);
+  match
+    List.assoc_opt "switched"
+      (Iov_telemetry.Metrics.snapshot ~scope:(NI.to_string (id 2))
+         (Iov_telemetry.Telemetry.metrics tel))
+  with
+  | Some (Iov_telemetry.Metrics.Counter c) ->
+    Alcotest.(check int) "registered counter is the progress signal"
+      (Network.node_switched net (id 2)) c
+  | Some _ | None -> Alcotest.fail "switched counter not registered"
+
 let () =
   Alcotest.run "network"
     [
@@ -991,6 +1053,13 @@ let () =
           Alcotest.test_case "wide fanout" `Quick test_wide_fanout;
           Alcotest.test_case "buffer override" `Quick
             test_per_node_buffer_override;
+        ] );
+      ( "counters",
+        [
+          Alcotest.test_case "switched counts without telemetry" `Quick
+            test_switched_counts_untraced;
+          Alcotest.test_case "switched counts with telemetry disabled" `Quick
+            test_switched_counts_disabled;
         ] );
       ("fuzz", [ fuzz_test ]);
     ]

@@ -285,26 +285,50 @@ let test_rnode_direct_delivery () =
   Rnode.shutdown sink;
   Alcotest.(check bool) "all bytes delivered over TCP" true ok
 
-let test_rnode_relay_chain () =
-  let app = 5 in
-  let sink = Rnode.start Alg.null in
+(* driver -> relay -> sink over loopback; returns the relay's
+   [messages_processed] and its registered [switched] counter (if
+   telemetry is attached), both read once every message has arrived *)
+let relay_chain ?telemetry () =
+  let app = 5 and n = 200 in
+  let sink = Rnode.start ?telemetry Alg.null in
   let relay_alg (_ : Alg.ctx) (m : Msg.t) =
     if m.Msg.mtype = Mt.Data && m.app = app then
       Some (Alg.Forward [ Rnode.id sink ])
     else None
   in
-  let relay = Rnode.start (Ialg.make ~name:"relay" relay_alg) in
-  let driver = Rnode.start Alg.null in
-  for seq = 0 to 199 do
+  let relay = Rnode.start ?telemetry (Ialg.make ~name:"relay" relay_alg) in
+  let driver = Rnode.start ?telemetry Alg.null in
+  for seq = 0 to n - 1 do
     Rnode.send driver
       (Msg.data ~origin:(Rnode.id driver) ~app ~seq (Bytes.make 64 'b'))
       (Rnode.id relay)
   done;
-  let ok = wait_for (fun () -> Rnode.app_bytes sink ~app >= 200 * 64) in
+  let ok = wait_for (fun () -> Rnode.app_bytes sink ~app >= n * 64) in
+  let processed = Rnode.messages_processed relay in
+  let switched =
+    Option.map
+      (fun tel ->
+        match
+          List.assoc_opt "switched"
+            (Metrics.snapshot ~scope:(NI.to_string (Rnode.id relay))
+               (Tel.metrics tel))
+        with
+        | Some (Metrics.Counter c) -> c
+        | Some _ | None -> Alcotest.fail "relay switched counter missing")
+      telemetry
+  in
+  List.iter Rnode.shutdown [ driver; relay; sink ];
   Alcotest.(check bool) "relayed through the engine" true ok;
-  Alcotest.(check bool) "relay processed messages" true
-    (Rnode.messages_processed relay >= 200);
-  List.iter Rnode.shutdown [ driver; relay; sink ]
+  (n, processed, switched)
+
+let test_rnode_relay_chain () =
+  (* no telemetry: the count is still kept, one per forwarded message *)
+  let n, processed, _ = relay_chain () in
+  Alcotest.(check int) "relay processed each forwarded message once" n
+    processed;
+  let _, processed, switched = relay_chain ~telemetry:(Tel.create ()) () in
+  Alcotest.(check (option int)) "processed is the switched counter"
+    (Some processed) switched
 
 let test_rnode_byte_metering () =
   let sink = Rnode.start Alg.null in

@@ -156,14 +156,22 @@ let run_flood ?(topo_seed = 7) ~seed ~until () =
   Network.run f.Harness.net ~until;
   tele
 
-(* the golden determinism guarantee of ISSUE: two runs of the same
-   seeded simulation produce byte-identical JSONL traces *)
+(* The trace of [run_flood ~seed:42 ~until:1.5 ()], pinned: comparing
+   two runs of one build cannot catch a change that reorders, adds or
+   drops events in both, so the digest itself is fixed. A deliberate
+   change to the event stream must update it and say why. *)
+let golden_flood_digest = "2ef60951b9f5db964c662e0f6924a310"
+
+(* the golden determinism guarantee: two runs of the same seeded
+   simulation produce byte-identical JSONL traces, equal to the pinned
+   one *)
 let test_trace_deterministic () =
   let t1 = run_flood ~seed:42 ~until:1.5 () in
   let t2 = run_flood ~seed:42 ~until:1.5 () in
   Alcotest.(check bool) "events recorded" true (Tel.total_events t1 > 0);
   Alcotest.(check string) "same dump" (Tel.dump_jsonl t1) (Tel.dump_jsonl t2);
   Alcotest.(check string) "same digest" (Tel.digest t1) (Tel.digest t2);
+  Alcotest.(check string) "pinned digest" golden_flood_digest (Tel.digest t1);
   let t3 = run_flood ~topo_seed:8 ~seed:42 ~until:1.5 () in
   Alcotest.(check bool) "different topology, different trace" true
     (Tel.digest t1 <> Tel.digest t3)
